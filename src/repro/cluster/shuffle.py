@@ -92,6 +92,10 @@ class ShuffleManager:
         self._outputs: dict[int, dict[int, dict[int, list]]] = {}
         # shuffle_id -> id of the job whose execution produced the outputs
         self._producer_job: dict[int, int] = {}
+        # shuffle_id -> reduce_split -> (non-empty buckets in map order,
+        # record count); built at the first fetch of a complete shuffle and
+        # dropped on any change to that shuffle's outputs
+        self._reduce_index: dict[int, dict[int, tuple[list[list], int]]] = {}
 
     # ------------------------------------------------------------------
     def is_map_output_present(self, dep: ShuffleDependency, map_split: int) -> bool:
@@ -110,6 +114,7 @@ class ShuffleManager:
         """Drop every registered shuffle output (context shutdown)."""
         self._outputs.clear()
         self._producer_job.clear()
+        self._reduce_index.clear()
 
     # ------------------------------------------------------------------
     def write(
@@ -162,6 +167,7 @@ class ShuffleManager:
 
         self._outputs.setdefault(dep.shuffle_id, {})[map_split] = buckets
         self._producer_job.setdefault(dep.shuffle_id, job_id)
+        self._reduce_index.pop(dep.shuffle_id, None)
 
     @staticmethod
     def _bucket_bulk(records, partitioner: Partitioner) -> dict[int, list] | None:
@@ -212,33 +218,26 @@ class ShuffleManager:
 
         Returns ``(k, combined)`` pairs when the dependency has a combiner,
         otherwise ``(k, [values])`` groups.  Charges network fetch time plus
-        deserialization.
+        deserialization.  O(records fetched): the per-reduce index lists
+        only the map outputs that hold records for this split.
         """
-        bucket_lists = self.bucket_lists_for(dep, reduce_split)
+        bucket_lists, n_records = self._reduce_entry(dep, reduce_split)
         merged_items = merge_bucket_lists(bucket_lists, dep.combiner)
-        n_records = sum(len(bucket) for bucket in bucket_lists)
         self._charge_fetch_costs(dep, n_records, tm)
         return merged_items
 
     def bucket_lists_for(
         self, dep: ShuffleDependency, reduce_split: int
     ) -> list[list]:
-        """This reduce split's raw buckets, one per map split, in map order.
+        """This reduce split's non-empty buckets, in map order.
 
-        Raises when the shuffle is incomplete (same guard as ``fetch``).
-        The shard coordinator peeks these zero-copy to ship reduce inputs
-        to workers, so the returned lists must not be mutated.
+        Map outputs with no records for the split are left out; merging
+        the result with :func:`merge_bucket_lists` gives exactly what
+        ``fetch`` returns.  Raises when the shuffle is incomplete (same
+        guard as ``fetch``).  The shard transports pass these zero-copy to
+        the workers' merge, so the returned lists must not be mutated.
         """
-        if not self.is_complete(dep):
-            raise ShuffleError(
-                f"shuffle {dep.shuffle_id} fetch with missing map outputs: "
-                f"{self.missing_map_splits(dep)}"
-            )
-        per_map = self._outputs[dep.shuffle_id]
-        return [
-            per_map[map_split].get(reduce_split, ())
-            for map_split in range(dep.parent.num_partitions)
-        ]
+        return self._reduce_entry(dep, reduce_split)[0]
 
     def charge_fetch(
         self,
@@ -253,9 +252,36 @@ class ShuffleManager:
         guard) are identical to a real fetch, only the Python-level merge
         work is skipped.
         """
-        bucket_lists = self.bucket_lists_for(dep, reduce_split)
-        n_records = sum(len(bucket) for bucket in bucket_lists)
-        self._charge_fetch_costs(dep, n_records, tm)
+        self._charge_fetch_costs(dep, self._reduce_entry(dep, reduce_split)[1], tm)
+
+    def _reduce_entry(
+        self, dep: ShuffleDependency, reduce_split: int
+    ) -> tuple[list[list], int]:
+        """``(non-empty buckets in map order, record count)`` for one split.
+
+        The shuffle's per-reduce index is built in one pass over its map
+        outputs at the first fetch after it completes, so later fetches
+        touch only their own records.  Any write or drop of the shuffle's
+        outputs discards the index: it never outlives what it indexes.
+        """
+        index = self._reduce_index.get(dep.shuffle_id)
+        if index is None:
+            if not self.is_complete(dep):
+                raise ShuffleError(
+                    f"shuffle {dep.shuffle_id} fetch with missing map outputs: "
+                    f"{self.missing_map_splits(dep)}"
+                )
+            per_map = self._outputs[dep.shuffle_id]
+            lists: dict[int, list[list]] = {}
+            for map_split in range(dep.parent.num_partitions):
+                for split, bucket in per_map[map_split].items():
+                    lists.setdefault(split, []).append(bucket)
+            index = {
+                split: (buckets, sum(map(len, buckets)))
+                for split, buckets in lists.items()
+            }
+            self._reduce_index[dep.shuffle_id] = index
+        return index.get(reduce_split, ([], 0))
 
     def _charge_fetch_costs(
         self, dep: ShuffleDependency, n_records: int, tm: "TaskMetrics"
@@ -276,13 +302,13 @@ class ShuffleManager:
         """
         stale = [sid for sid, jid in self._producer_job.items() if jid < min_job_id]
         for sid in stale:
-            self._outputs.pop(sid, None)
-            self._producer_job.pop(sid, None)
+            self.drop(sid)
         return stale
 
     def drop(self, shuffle_id: int) -> None:
         self._outputs.pop(shuffle_id, None)
         self._producer_job.pop(shuffle_id, None)
+        self._reduce_index.pop(shuffle_id, None)
 
     def drop_map_output(self, shuffle_id: int, map_split: int) -> bool:
         """Drop one map partition's buckets (a reported fetch failure).
@@ -295,6 +321,7 @@ class ShuffleManager:
         if per_map is None or map_split not in per_map:
             return False
         del per_map[map_split]
+        self._reduce_index.pop(shuffle_id, None)
         return True
 
     def drop_outputs_for_executor(
@@ -318,6 +345,8 @@ class ShuffleManager:
             for map_split in doomed:
                 del per_map[map_split]
                 lost.append((shuffle_id, map_split))
+            if doomed:
+                self._reduce_index.pop(shuffle_id, None)
         return lost
 
     def registered_shuffles(self) -> list[int]:

@@ -38,7 +38,7 @@ the first eviction (see ``BlazeCacheManager._admit_incremental``).
 from __future__ import annotations
 
 from bisect import insort
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .cost_lineage import CostLineage
 from .cost_model import CostModel, PartitionState, StateFn
@@ -78,12 +78,16 @@ class DecisionCostCache:
         lineage: CostLineage,
         cost_model: CostModel,
         state_fn: StateFn,
+        holders: Callable[["BlockId"], Iterable[int]],
         collector: "MetricsCollector | None" = None,
         consulted: bool = True,
     ) -> None:
         self.lineage = lineage
         self.cost_model = cost_model
         self.state_fn = state_fn
+        #: block id -> executors holding it in memory or on disk
+        #: (``ResidencyDirectory.holders_of``): where touches route marks
+        self.holders = holders
         self.collector = collector
         #: False when the active config never reads cached cost values
         #: (no admission comparison, no spill-vs-recompute choice): touches
@@ -145,8 +149,10 @@ class DecisionCostCache:
                     # s % ns == s, the mapping is the identity
                     child_splits = set(splits)
                 else:
+                    # the child splits s with s % ns_current == p
                     child_splits = {
-                        s for s in range(ns_child) if s % ns_current in splits
+                        s for p in splits if p < ns_current
+                        for s in range(p, ns_child, ns_current)
                     }
                 existing = affected.get(child)
                 if existing is None:
@@ -178,9 +184,14 @@ class DecisionCostCache:
             # Observed metrics move at most the partition's own cost_d key
             # (no recursion); estimate-derived keys ride the touch counter.
             pairs = ((rdd_id, split),)
-        for index in self.indexes.values():
-            if index.sensitivity != "marks":
-                for pair in pairs:
+        # A pair can only sit in the index of an executor that holds it.
+        # A block just added to an index is already stale there, so a mark
+        # the directory cannot route yet would have been a no-op anyway.
+        indexes = self.indexes
+        for pair in pairs:
+            for executor_id in self.holders(pair):
+                index = indexes.get(executor_id)
+                if index is not None and index.sensitivity != "marks":
                     index.mark_block(pair)
 
     def note_observation(

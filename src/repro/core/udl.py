@@ -99,7 +99,8 @@ class BlazeCacheManager(CacheManager):
             )
             self._cache = DecisionCostCache(
                 self.lineage, self.cost_model, self._future_state_of,
-                cluster.metrics, consulted=consulted,
+                cluster.directory.holders_of, cluster.metrics,
+                consulted=consulted,
             )
             if cfg.cost_aware_enabled and cfg.admission_enabled:
                 sensitivity = "version"  # density key reads future refs
@@ -248,7 +249,7 @@ class BlazeCacheManager(CacheManager):
         old = self._cache
         self._cache = DecisionCostCache(
             self.lineage, self.cost_model, self._future_state_of,
-            self.cluster.metrics, consulted=old.consulted,
+            old.holders, self.cluster.metrics, consulted=old.consulted,
         )
         # Same VictimIndex objects: their key closures read ``self._cache``
         # at call time, so they price against the new cache automatically.
@@ -525,11 +526,35 @@ class BlazeCacheManager(CacheManager):
             candidates=tuple(candidates),
         )
 
-    @staticmethod
-    def _off_memory_outcome(from_disk: bool, placed: bool) -> str:
-        # A from-disk candidate denied memory simply stays on disk; a
-        # fresh partition lands there only if ``_maybe_write_to_disk`` bit.
-        return "disk" if (from_disk or placed) else "drop"
+    def _keep_off_memory(
+        self,
+        executor: "Executor",
+        block: Block,
+        refs: int,
+        tm: TaskMetrics,
+        from_disk: bool,
+        reason: str,
+        victims: list[Block] | None = None,
+        tiers: dict[BlockId, int] | None = None,
+        **audit_terms,
+    ) -> None:
+        """Deny the block memory: persist a fresh partition if worth it.
+
+        A from-disk candidate simply stays on disk; a fresh partition lands
+        there only if ``_maybe_write_to_disk`` bites.  The audit probes the
+        passed-over ``victims`` after that write.
+        """
+        placed = False
+        if not from_disk:
+            placed = self._maybe_write_to_disk(executor, block, tm)
+        if self.audit is not None:
+            self._audit_admission(
+                executor, block, refs, from_disk=from_disk,
+                outcome="disk" if (from_disk or placed) else "drop",
+                reason=reason,
+                candidates=self._audit_candidates(victims, tiers) if victims else (),
+                **audit_terms,
+            )
 
     def _ilp_observer(self, executor_id: int, job_id: int, round_idx: int):
         def observer(items, solution) -> None:
@@ -588,15 +613,7 @@ class BlazeCacheManager(CacheManager):
         now = self.cluster.clock.now
         audit = self.audit
         if block.size_bytes > bm.memory.capacity_bytes:
-            placed = False
-            if not from_disk:
-                placed = self._maybe_write_to_disk(executor, block, tm)
-            if audit is not None:
-                self._audit_admission(
-                    executor, block, refs, from_disk=from_disk,
-                    outcome=self._off_memory_outcome(from_disk, placed),
-                    reason="too_big",
-                )
+            self._keep_off_memory(executor, block, refs, tm, from_disk, "too_big")
             return
 
         needed = block.size_bytes - bm.memory.free_bytes
@@ -621,15 +638,7 @@ class BlazeCacheManager(CacheManager):
             tier_out=tiers,
         )
         if victims is None:
-            placed = False
-            if not from_disk:
-                placed = self._maybe_write_to_disk(executor, block, tm)
-            if audit is not None:
-                self._audit_admission(
-                    executor, block, refs, from_disk=from_disk,
-                    outcome=self._off_memory_outcome(from_disk, placed),
-                    reason="no_victims",
-                )
+            self._keep_off_memory(executor, block, refs, tm, from_disk, "no_victims")
             return
 
         incoming_value = displaced_value = None
@@ -652,18 +661,12 @@ class BlazeCacheManager(CacheManager):
                         incoming_value=incoming_value,
                         displaced_value=displaced_value,
                     )
-                placed = False
-                if not from_disk:
-                    placed = self._maybe_write_to_disk(executor, block, tm)
-                if audit is not None:
-                    self._audit_admission(
-                        executor, block, refs, from_disk=from_disk,
-                        outcome=self._off_memory_outcome(from_disk, placed),
-                        reason="admission",
-                        candidates=self._audit_candidates(victims, tiers),
-                        incoming_value=incoming_value,
-                        displaced_value=displaced_value,
-                    )
+                self._keep_off_memory(
+                    executor, block, refs, tm, from_disk, "admission",
+                    victims=victims, tiers=tiers,
+                    incoming_value=incoming_value,
+                    displaced_value=displaced_value,
+                )
                 return
 
         # Audit cost terms are probed on the pre-eviction snapshot (the
@@ -671,6 +674,18 @@ class BlazeCacheManager(CacheManager):
         # destinations are captured from the eviction ladder itself.
         pre = self._audit_candidates(victims, tiers) if audit is not None else ()
         states = [self._evict(executor, victim, tm, memo) for victim in victims]
+        while (short := block.size_bytes - bm.memory.free_bytes) > 0:
+            # Float residue (see ``_admit_incremental``): top up.
+            more = self._select_victims(
+                bm, short, block.rdd_id, memo, incoming_block=block,
+                tier_out=tiers,
+            )
+            if more is None:
+                self._keep_off_memory(executor, block, refs, tm, from_disk, "no_victims")
+                return
+            if audit is not None:
+                pre += self._audit_candidates(more, tiers)
+            states += [self._evict(executor, victim, tm, memo) for victim in more]
         self._place_in_memory(bm, block, from_disk, now)
         if audit is not None:
             self._audit_admission(
@@ -695,21 +710,18 @@ class BlazeCacheManager(CacheManager):
         eviction-state choice — all computed against the *pre-eviction*
         snapshot — so every value here is resolved before the first eviction
         mutates residency.
+
+        Selection sums victim sizes in plain floats but the store's
+        compensated ``free_bytes`` has the last word: while it is still
+        short (by an ulp), victims for the remainder are evicted too, and
+        with none left the block goes the ``no_victims`` way.
         """
         bm = executor.bm
         cache = self._cache
         now = self.cluster.clock.now
         audit = self.audit
         if block.size_bytes > bm.memory.capacity_bytes:
-            placed = False
-            if not from_disk:
-                placed = self._maybe_write_to_disk(executor, block, tm)
-            if audit is not None:
-                self._audit_admission(
-                    executor, block, refs, from_disk=from_disk,
-                    outcome=self._off_memory_outcome(from_disk, placed),
-                    reason="too_big",
-                )
+            self._keep_off_memory(executor, block, refs, tm, from_disk, "too_big")
             return
 
         needed = block.size_bytes - bm.memory.free_bytes
@@ -723,21 +735,9 @@ class BlazeCacheManager(CacheManager):
             return
 
         index = self._indexes[executor.executor_id]
-        index.ensure_current(self.lineage.version, cache.touch_count)
-        victims, scanned = index.select(needed, block.rdd_id)
-        metrics = self.cluster.metrics
-        metrics.victim_candidates_scanned += scanned
-        metrics.victim_selections += 1
+        victims = self._index_select(index, needed, block.rdd_id)
         if victims is None:
-            placed = False
-            if not from_disk:
-                placed = self._maybe_write_to_disk(executor, block, tm)
-            if audit is not None:
-                self._audit_admission(
-                    executor, block, refs, from_disk=from_disk,
-                    outcome=self._off_memory_outcome(from_disk, placed),
-                    reason="no_victims",
-                )
+            self._keep_off_memory(executor, block, refs, tm, from_disk, "no_victims")
             return
 
         incoming_value = displaced_value = None
@@ -754,28 +754,26 @@ class BlazeCacheManager(CacheManager):
                         incoming_value=incoming_value,
                         displaced_value=displaced_value,
                     )
-                placed = False
-                if not from_disk:
-                    placed = self._maybe_write_to_disk(executor, block, tm)
-                if audit is not None:
-                    self._audit_admission(
-                        executor, block, refs, from_disk=from_disk,
-                        outcome=self._off_memory_outcome(from_disk, placed),
-                        reason="admission",
-                        candidates=self._audit_candidates(victims),
-                        incoming_value=incoming_value,
-                        displaced_value=displaced_value,
-                    )
+                self._keep_off_memory(
+                    executor, block, refs, tm, from_disk, "admission",
+                    victims=victims,
+                    incoming_value=incoming_value,
+                    displaced_value=displaced_value,
+                )
                 return
 
         # Resolve every victim's destination on the pre-eviction snapshot,
         # then execute (each eviction invalidates the caches behind us).
         pre = self._audit_candidates(victims) if audit is not None else ()
-        plans = [self._eviction_plan(victim) for victim in victims]
-        states = [
-            self._execute_eviction(bm, victim, plan, tm)
-            for victim, plan in zip(victims, plans)
-        ]
+        states = self._evict_planned(bm, victims, tm)
+        while (short := block.size_bytes - bm.memory.free_bytes) > 0:
+            more = self._index_select(index, short, block.rdd_id)
+            if more is None:
+                self._keep_off_memory(executor, block, refs, tm, from_disk, "no_victims")
+                return
+            if audit is not None:
+                pre += self._audit_candidates(more)
+            states += self._evict_planned(bm, more, tm)
         self._place_in_memory(bm, block, from_disk, now)
         if audit is not None:
             self._audit_admission(
@@ -784,6 +782,24 @@ class BlazeCacheManager(CacheManager):
                 candidates=pre, states=states,
                 incoming_value=incoming_value, displaced_value=displaced_value,
             )
+
+    def _index_select(
+        self, index: VictimIndex, needed: float, incoming_rdd_id: int
+    ) -> list[Block] | None:
+        index.ensure_current(self.lineage.version, self._cache.touch_count)
+        victims, scanned = index.select(needed, incoming_rdd_id)
+        metrics = self.cluster.metrics
+        metrics.victim_candidates_scanned += scanned
+        metrics.victim_selections += 1
+        return victims
+
+    def _evict_planned(self, bm, victims: list[Block], tm: TaskMetrics) -> list[str]:
+        """Plan every victim's destination first, then carry them out."""
+        plans = [self._eviction_plan(victim) for victim in victims]
+        return [
+            self._execute_eviction(bm, victim, plan, tm)
+            for victim, plan in zip(victims, plans)
+        ]
 
     def _eviction_plan(self, victim: Block) -> PartitionState:
         """The victim's destination state — :meth:`_evict`'s ladder, predicted."""
@@ -1008,9 +1024,10 @@ class BlazeCacheManager(CacheManager):
                     weight = self.lineage.refs_in_window(
                         block.rdd_id, job.job_id, horizon_last
                     )
-                    if weight == 0:
-                        # No use within the horizon: leave the block where
-                        # it is (total-future-ref accounting handles it).
+                    if weight == 0 or block.size_bytes <= 0:
+                        # No use within the horizon, or no bytes to place
+                        # (an empty partition): leave the block where it
+                        # is (total-future-ref accounting handles it).
                         if executor.bm.location_of(block.block_id) is BlockLocation.MEMORY:
                             reserved += block.size_bytes
                         continue

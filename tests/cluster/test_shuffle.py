@@ -1,11 +1,16 @@
 """Shuffle manager: write/fetch semantics, combiners, cleanup."""
 
-import pytest
+import random
+from types import SimpleNamespace
 
-from repro.cluster.shuffle import ShuffleManager
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.cluster.shuffle import ShuffleManager, merge_bucket_lists
 from repro.config import ClusterConfig
+from repro.dataflow.context import BlazeContext
 from repro.dataflow.dependencies import ShuffleDependency
-from repro.dataflow.partitioner import HashPartitioner
+from repro.dataflow.partitioner import HashPartitioner, RangePartitioner
 from repro.errors import ShuffleError
 from repro.metrics.collector import TaskMetrics
 
@@ -87,3 +92,137 @@ def test_fetch_charges_network(shuffle_env):
     tm = TaskMetrics()
     manager.fetch(dep, 0, tm)
     assert tm.shuffle_read_seconds > 0
+
+
+# ----------------------------------------------------------------------
+# Per-reduce index vs the full-scan fetch it replaced
+# ----------------------------------------------------------------------
+def _scan_bucket_lists(manager, dep, reduce_split):
+    """Reference: every map split's bucket for the split, empties included."""
+    if not manager.is_complete(dep):
+        raise ShuffleError(
+            f"shuffle {dep.shuffle_id} fetch with missing map outputs: "
+            f"{manager.missing_map_splits(dep)}"
+        )
+    per_map = manager._outputs[dep.shuffle_id]
+    return [
+        per_map[map_split].get(reduce_split, ())
+        for map_split in range(dep.parent.num_partitions)
+    ]
+
+
+def _scan_fetch(manager, dep, reduce_split, tm):
+    """Reference: the full-scan fetch (list, merge, count every map)."""
+    bucket_lists = _scan_bucket_lists(manager, dep, reduce_split)
+    merged = merge_bucket_lists(bucket_lists, dep.combiner)
+    manager._charge_fetch_costs(dep, sum(len(b) for b in bucket_lists), tm)
+    return merged
+
+
+def _outcome(fn):
+    try:
+        return "ok", fn()
+    except ShuffleError as exc:
+        return "error", str(exc)
+
+
+def _records(rng: random.Random, n: int) -> list:
+    # few distinct keys over a wide reducer range: most buckets are empty
+    return [(rng.randrange(-8, 200), rng.randrange(10)) for _ in range(n)]
+
+
+def _check_fetches(manager, dep):
+    """Every reduce split: fetch, charge_fetch and the bucket lists agree
+    with the full scan (merge order, charged metrics, incomplete error)."""
+    for split in range(dep.partitioner.num_partitions):
+        ref_tm, tm, charged_tm = TaskMetrics(), TaskMetrics(), TaskMetrics()
+        want = _outcome(lambda: _scan_fetch(manager, dep, split, ref_tm))
+        assert _outcome(lambda: manager.fetch(dep, split, tm)) == want
+        assert tm == ref_tm
+        charged = _outcome(lambda: manager.charge_fetch(dep, split, charged_tm))
+        assert charged[0] == want[0]
+        assert charged_tm == ref_tm
+        lists = _outcome(lambda: manager.bucket_lists_for(dep, split))
+        if want[0] == "ok":
+            ref_lists = _scan_bucket_lists(manager, dep, split)
+            assert lists[1] == [b for b in ref_lists if b]
+            assert merge_bucket_lists(lists[1], dep.combiner) == want[1]
+        else:
+            assert lists == charged == want
+
+
+shuffle_ops = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["write"] * 3 + ["complete"] * 3 + ["fetch"] * 4
+            + ["drop_map", "drop_executor", "cleanup", "drop"]
+        ),
+        st.integers(min_value=0, max_value=1),  # which shuffle
+        st.integers(min_value=0, max_value=2**16),  # slot / seed
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    maps=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+    reducers=st.tuples(st.integers(1, 48), st.integers(1, 48)),
+    combine=st.booleans(),
+    range_partitioned=st.booleans(),
+    fast_path=st.booleans(),
+    ops=shuffle_ops,
+)
+def test_index_fetch_matches_full_scan(
+    maps, reducers, combine, range_partitioned, fast_path, ops
+):
+    ctx = BlazeContext()
+    manager = ShuffleManager(ClusterConfig())
+    manager.fast_path = fast_path
+    deps = []
+    for i in range(2):
+        parent = ctx.parallelize([], maps[i])
+        partitioner = (
+            RangePartitioner(reducers[i], key_space=200)
+            if range_partitioned and i == 1
+            else HashPartitioner(reducers[i])
+        )
+        deps.append(ShuffleDependency(
+            parent, partitioner,
+            combiner=(lambda a, b: a + b) if combine and i == 0 else None,
+        ))
+
+    def executor_for(split):
+        return SimpleNamespace(executor_id=split % 3)
+
+    for kind, which, arg in ops:
+        dep = deps[which]
+        n_maps = dep.parent.num_partitions
+        rng = random.Random(arg)
+        if kind == "write":
+            # also re-writes a registered map output
+            manager.write(
+                dep, arg % n_maps, _records(rng, rng.randrange(0, 90)),
+                TaskMetrics(), job_id=arg % 4,
+            )
+        elif kind == "complete":
+            missing = manager.missing_map_splits(dep)
+            rng.shuffle(missing)  # maps land out of order
+            for map_split in missing:
+                manager.write(
+                    dep, map_split, _records(rng, rng.randrange(0, 90)),
+                    TaskMetrics(), job_id=arg % 4,
+                )
+        elif kind == "drop_map":
+            manager.drop_map_output(dep.shuffle_id, arg % n_maps)
+        elif kind == "drop_executor":
+            manager.drop_outputs_for_executor(arg % 3, executor_for)
+        elif kind == "cleanup":
+            manager.cleanup_older_than(arg % 5)
+        elif kind == "drop":
+            manager.drop(dep.shuffle_id)
+        else:
+            _check_fetches(manager, dep)
+    for dep in deps:
+        _check_fetches(manager, dep)

@@ -134,3 +134,19 @@ def test_future_state_discounts_dying_ancestors():
                 assert manager._future_state_of(src.rdd_id, block.split) == "gone"
                 return
     pytest.skip("src not cached in this configuration")
+
+
+def test_ilp_leaves_empty_cached_partitions_alone():
+    """A cached empty partition is a zero-byte block; the ILP has nothing
+    to place for it and must not hand it to the solver (which rejects
+    non-positive sizes with ``SolverError``)."""
+    ctx, _manager = make_blaze_ctx(memory_mb=2048)
+    rdd = ctx.parallelize(
+        [0], 3, op_cost=OpCost(per_element_out=1e-3),
+        size_model=SizeModel(bytes_per_element=0.02 * MB),
+    )
+    rdd = rdd.map(lambda x: (x % 2, x)).reduce_by_key(lambda a, b: a + b)
+    rdd = rdd.map(lambda kv: kv[0] + kv[1])
+    rdd.cache()
+    for _ in range(2):
+        assert ctx.run_job(rdd, lambda _s, part: list(part)) == [[0], [], []]
